@@ -9,11 +9,18 @@
 // Two hot-path exhibits ride along:
 //  * knn_vs_threads — the same signature workload through the parallel batch
 //    driver (query/batch.h) with a private ThreadPool per point, up to
-//    --threads workers (default 4); records batch wall time and queries/s.
+//    --threads workers (default 4); records batch wall time, queries/s and
+//    process CPU/wall from getrusage. Every page touch goes through the one
+//    shared BufferManager lock, so this sweep measures that lock as much as
+//    the query path. CPU/wall is how many cores the batch kept busy: a flat
+//    speedup with CPU/wall near 1 means the workers mostly wait on the lock;
+//    CPU/wall well above the speedup means they burn cycles contending.
 //  * knn_rowcache — a repeated-querier workload (a few queriers re-asking
 //    from the same nodes) with the decoded-row cache disabled vs enabled,
 //    recording the per-query time and the cache hit rate per point.
 #include "bench/bench_common.h"
+
+#include <sys/resource.h>
 
 #include <cmath>
 #include <limits>
@@ -28,6 +35,14 @@ namespace {
 
 using namespace dsig;
 using namespace dsig::bench;
+
+// User + system CPU seconds of the whole process, all threads.
+double ProcessCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+}
 
 }  // namespace
 
@@ -106,14 +121,20 @@ int main(int argc, char** argv) {
       std::max<size_t>(1, static_cast<size_t>(flags.GetInt("threads", 4)));
   json.SetParam("max_threads", static_cast<double>(max_threads));
   const size_t batch_k = 10;
-  TablePrinter thread_table({"threads", "batch (ms)", "queries/s", "speedup"});
+  TablePrinter thread_table(
+      {"threads", "batch (ms)", "queries/s", "speedup", "CPU/wall"});
   double serial_batch_ms = 0;
   for (size_t t = 1; t <= max_threads; t *= 2) {
     ThreadPool pool(t);
+    const double cpu_before_s = ProcessCpuSeconds();
+    const Timer wall;
     const Measurement m = MeasureOnce(w.buffer.get(), [&] {
       BatchKnnQuery(*signature, queries, batch_k, KnnResultType::kType3,
                     {.pool = &pool});
     });
+    const double wall_s = wall.ElapsedSeconds();
+    const double cpu_per_wall =
+        wall_s > 0 ? (ProcessCpuSeconds() - cpu_before_s) / wall_s : 0;
     const double batch_ms = m.mean_ms;  // one item == the whole batch
     if (t == 1) serial_batch_ms = batch_ms;
     const double speedup = batch_ms > 0 ? serial_batch_ms / batch_ms : 0;
@@ -126,11 +147,16 @@ int main(int argc, char** argv) {
       point->metrics["batch_ms"] = batch_ms;
       point->metrics["queries_per_second"] = qps;
       point->metrics["speedup_vs_1"] = speedup;
+      point->metrics["cpu_per_wall"] = cpu_per_wall;
     }
     thread_table.AddRow({std::to_string(t), Fmt("%.2f", batch_ms),
-                         Fmt("%.0f", qps), Fmt("%.2f", speedup)});
+                         Fmt("%.0f", qps), Fmt("%.2f", speedup),
+                         Fmt("%.2f", cpu_per_wall)});
   }
-  std::printf("\n--- (c) batch kNN vs threads (k = %zu) ---\n", batch_k);
+  std::printf(
+      "\n--- (c) batch kNN vs threads (k = %zu), through the shared "
+      "BufferManager lock ---\n",
+      batch_k);
   thread_table.Print();
 
   // --- (d) decoded-row cache on a repeated-querier workload -----------------

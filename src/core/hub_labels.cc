@@ -13,7 +13,6 @@
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
-#include "util/simd/simd.h"
 #include "util/thread_pool.h"
 
 namespace dsig {
@@ -305,7 +304,7 @@ bool HubLabels::DecodeBlob() const {
   for (uint64_t i = 0; i < entries; ++i) dists[i] = reader.ReadF64();
   if (!reader.ok() || !reader.AtEnd()) return false;
 
-  // Structural checks the kernel contract depends on: per-label hubs are
+  // Structural checks MergeLabels depends on: per-label hubs are
   // strictly ascending ranks below n, distances finite and non-negative.
   for (uint64_t v = 0; v < n; ++v) {
     if (rank_of[v] >= n) return false;
@@ -326,6 +325,25 @@ bool HubLabels::DecodeBlob() const {
   return true;
 }
 
+Weight MergeLabels(const uint32_t* ah, const Weight* ad, size_t an,
+                   const uint32_t* bh, const Weight* bd, size_t bn) {
+  Weight best = kInfiniteWeight;
+  size_t i = 0, j = 0;
+  while (i < an && j < bn) {
+    if (ah[i] == bh[j]) {
+      const Weight d = ad[i] + bd[j];
+      if (d < best) best = d;
+      ++i;
+      ++j;
+    } else if (ah[i] < bh[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return best;
+}
+
 bool HubLabels::ready() const {
   EnsureDecoded();
   return decode_ok_.load(std::memory_order_acquire);
@@ -336,9 +354,9 @@ Weight HubLabels::Distance(NodeId u, NodeId v) const {
   DSIG_CHECK(u < num_nodes_ && v < num_nodes_);
   const uint64_t ou = offsets_[u];
   const uint64_t ov = offsets_[v];
-  return simd::Kernels().label_merge(
-      hubs_.data() + ou, dists_.data() + ou, offsets_[u + 1] - ou,
-      hubs_.data() + ov, dists_.data() + ov, offsets_[v + 1] - ov);
+  return MergeLabels(hubs_.data() + ou, dists_.data() + ou,
+                     offsets_[u + 1] - ou, hubs_.data() + ov,
+                     dists_.data() + ov, offsets_[v + 1] - ov);
 }
 
 HubLabelStats HubLabels::stats() const {

@@ -22,8 +22,8 @@
 // ThreadPool.
 //
 // The label arrays are canonical: per node, hubs strictly ascending by rank
-// with their distances in lockstep — exactly the layout the simd
-// `label_merge` kernel consumes. Every node's label contains its own rank at
+// with their distances in lockstep — exactly the layout MergeLabels' two-
+// pointer scan consumes. Every node's label contains its own rank at
 // distance 0.
 //
 // Distances are exact, not categorical, and because every graph generator
@@ -55,6 +55,13 @@
 namespace dsig {
 
 class ThreadPool;
+
+// Min-plus merge of two canonical labels: the minimum over shared hubs h of
+// ad[h] + bd[h], or kInfiniteWeight when the labels share no hub. ah/bh are
+// strictly ascending hub ranks with ad/bd the matching distances. Hubs are
+// unique within a label, so the result does not depend on visit order.
+Weight MergeLabels(const uint32_t* ah, const Weight* ad, size_t an,
+                   const uint32_t* bh, const Weight* bd, size_t bn);
 
 // Construction-time accounting, reported by dsig_tool and the benches.
 struct HubLabelStats {
@@ -95,8 +102,8 @@ class HubLabels {
   // Forces the lazy decode; true when the pools are usable.
   bool ready() const;
 
-  // Exact d(u, v) via one label_merge kernel call; kInfiniteWeight when the
-  // nodes share no hub (disconnected) or the instance is not ready().
+  // Exact d(u, v) via one MergeLabels call; kInfiniteWeight when the nodes
+  // share no hub (disconnected) or the instance is not ready().
   Weight Distance(NodeId u, NodeId v) const;
 
   // The decoded pools, for kernel-level consumers (benches, tests).

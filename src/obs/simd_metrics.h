@@ -1,9 +1,9 @@
-// SIMD runtime-dispatch gauges (util/simd/simd.h).
+// SIMD dispatch gauges (util/simd/simd.h).
 //
 //   simd.dispatch_level — the active simd::SimdLevel as its integer enum
-//                         value (0 scalar, 1 sse4.2, 2 avx2, 3 neon)
-//   simd.detected_level — the best level the build + CPU support, before
-//                         any DSIG_FORCE_SCALAR / DSIG_SIMD override
+//                         value (0 scalar, 1 sse2)
+//   simd.detected_level — the best level the build compiled, before any
+//                         DSIG_FORCE_SCALAR override
 //
 // Recording both makes a forced-scalar run self-describing: a stats dump or
 // serve report where dispatch_level < detected_level was pinned on purpose.

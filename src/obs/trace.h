@@ -57,8 +57,11 @@ namespace internal {
 // The root trace of the thread's current query, if tracing is on. Exposed
 // so Span's disabled fast path inlines to a thread-local load and a branch
 // — spans sit on per-backtrack-step and per-entry-decode paths where even
-// an out-of-line call shows up in bench_knn at k = 50.
-extern thread_local QueryTrace* g_active_trace;
+// an out-of-line call shows up in bench_knn at k = 50. constinit tells
+// other TUs there is no dynamic initializer, so they read the variable
+// directly instead of through a TLS wrapper call (whose result UBSan's
+// null check misreports under GCC 12).
+extern constinit thread_local QueryTrace* g_active_trace;
 }  // namespace internal
 
 // The query trace currently open on this thread, if any.

@@ -1,6 +1,6 @@
-// Runtime kernel dispatch: detect what the CPU supports, intersect with what
-// this binary compiled, apply operator overrides, and publish one atomic
-// table pointer that the query layer loads on every kernel call.
+// Kernel dispatch: pick the strongest level compiled into this binary,
+// apply the DSIG_FORCE_SCALAR override, and publish one atomic table
+// pointer that the query layer loads on every kernel call.
 #include "util/simd/simd.h"
 
 #include <atomic>
@@ -8,66 +8,28 @@
 #include <cstring>
 #include <mutex>
 
-#include "util/logging.h"
-
 namespace dsig {
 namespace simd {
 
 namespace {
 
+// Null when the variant is not compiled into this binary.
 const KernelTable* TableFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return ScalarKernels();
-    case SimdLevel::kSse42:
-      return Sse42Kernels();
-    case SimdLevel::kAvx2:
-      return Avx2Kernels();
-    case SimdLevel::kNeon:
-      return NeonKernels();
+    case SimdLevel::kSse2:
+      return Sse2Kernels();
   }
   return nullptr;
 }
 
-// Does the *CPU we are running on* support this level? (Independent of
-// whether the variant was compiled in — TableFor answers that.)
-bool CpuSupports(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-    case SimdLevel::kSse42:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse4.2");
-#else
-      return false;
-#endif
-    case SimdLevel::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case SimdLevel::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
+constexpr SimdLevel kLadder[] = {SimdLevel::kScalar, SimdLevel::kSse2};
 
-bool Usable(SimdLevel level) {
-  return TableFor(level) != nullptr && CpuSupports(level);
-}
-
-constexpr SimdLevel kLadder[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                                 SimdLevel::kAvx2, SimdLevel::kNeon};
-
-SimdLevel BestUsableLevel() {
+SimdLevel BestCompiledLevel() {
   SimdLevel best = SimdLevel::kScalar;
   for (SimdLevel level : kLadder) {
-    if (Usable(level)) best = level;
+    if (TableFor(level) != nullptr) best = level;
   }
   return best;
 }
@@ -77,19 +39,8 @@ bool EnvTruthy(const char* name) {
   return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
-bool ParseLevelName(const char* s, SimdLevel* out) {
-  for (SimdLevel level : kLadder) {
-    if (std::strcmp(s, SimdLevelName(level)) == 0) {
-      *out = level;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::atomic<const KernelTable*> g_active_table{nullptr};
 std::atomic<int> g_active_level{static_cast<int>(SimdLevel::kScalar)};
-SimdLevel g_detected_level = SimdLevel::kScalar;
 std::once_flag g_init_once;
 
 void StoreActive(SimdLevel level) {
@@ -100,26 +51,8 @@ void StoreActive(SimdLevel level) {
 }
 
 void InitDispatch() {
-  g_detected_level = BestUsableLevel();
-  SimdLevel chosen = g_detected_level;
-  if (EnvTruthy("DSIG_FORCE_SCALAR")) {
-    chosen = SimdLevel::kScalar;
-  } else if (const char* req = std::getenv("DSIG_SIMD");
-             req != nullptr && req[0] != '\0') {
-    SimdLevel parsed;
-    if (!ParseLevelName(req, &parsed)) {
-      DSIG_LOG(Warning) << "DSIG_SIMD=" << req
-                     << " is not a dispatch level; using "
-                     << SimdLevelName(chosen);
-    } else if (!Usable(parsed)) {
-      DSIG_LOG(Warning) << "DSIG_SIMD=" << req
-                     << " not available on this cpu/build; using "
-                     << SimdLevelName(chosen);
-    } else {
-      chosen = parsed;
-    }
-  }
-  StoreActive(chosen);
+  StoreActive(EnvTruthy("DSIG_FORCE_SCALAR") ? SimdLevel::kScalar
+                                             : BestCompiledLevel());
 }
 
 void EnsureInit() { std::call_once(g_init_once, InitDispatch); }
@@ -140,23 +73,19 @@ SimdLevel ActiveLevel() {
   return static_cast<SimdLevel>(g_active_level.load(std::memory_order_relaxed));
 }
 
-SimdLevel DetectedLevel() {
-  EnsureInit();
-  return g_detected_level;
-}
+SimdLevel DetectedLevel() { return BestCompiledLevel(); }
 
 std::vector<SimdLevel> AvailableLevels() {
-  EnsureInit();
   std::vector<SimdLevel> levels;
   for (SimdLevel level : kLadder) {
-    if (Usable(level)) levels.push_back(level);
+    if (TableFor(level) != nullptr) levels.push_back(level);
   }
   return levels;
 }
 
 bool SetActiveLevel(SimdLevel level) {
   EnsureInit();
-  if (!Usable(level)) return false;
+  if (TableFor(level) == nullptr) return false;
   StoreActive(level);
   return true;
 }
@@ -172,34 +101,17 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse42:
-      return "sse4.2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
+    case SimdLevel::kSse2:
+      return "sse2";
   }
   return "unknown";
 }
 
 std::string CpuFeatureString() {
-  EnsureInit();
-  std::string s = "cpu:";
-  bool any = false;
-  for (SimdLevel level : kLadder) {
-    if (level != SimdLevel::kScalar && CpuSupports(level)) {
-      s += ' ';
-      s += SimdLevelName(level);
-      any = true;
-    }
-  }
-  if (!any) s += " (baseline)";
-  s += "; compiled:";
-  for (SimdLevel level : kLadder) {
-    if (TableFor(level) != nullptr) {
-      s += ' ';
-      s += SimdLevelName(level);
-    }
+  std::string s = "compiled:";
+  for (SimdLevel level : AvailableLevels()) {
+    s += ' ';
+    s += SimdLevelName(level);
   }
   s += "; active: ";
   s += SimdLevelName(ActiveLevel());

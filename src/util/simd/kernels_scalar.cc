@@ -1,5 +1,5 @@
-// Generic scalar kernels — always compiled, and *normative*: every ISA
-// variant must reproduce these results bit-for-bit (including index order
+// Generic scalar kernels — always compiled, and *normative*: the vector
+// table must reproduce these results bit-for-bit (including index order
 // and the fixed f64 summation tree). Keep these implementations boring.
 #include <limits>
 
@@ -74,29 +74,10 @@ size_t CompactFiniteF64Scalar(const double* v, size_t n, double* out) {
   return count;
 }
 
-double LabelMergeScalar(const uint32_t* ah, const double* ad, size_t an,
-                        const uint32_t* bh, const double* bd, size_t bn) {
-  double best = std::numeric_limits<double>::infinity();
-  size_t i = 0, j = 0;
-  while (i < an && j < bn) {
-    if (ah[i] == bh[j]) {
-      const double d = ad[i] + bd[j];
-      if (d < best) best = d;
-      ++i;
-      ++j;
-    } else if (ah[i] < bh[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return best;
-}
-
 const KernelTable kScalarTable = {
     "scalar",          ExtractInRangeScalar, CountInRangeScalar,
     MaxU8Scalar,       MinU8Scalar,          AggregateF64Scalar,
-    CompactFiniteF64Scalar, LabelMergeScalar,
+    CompactFiniteF64Scalar,
 };
 
 }  // namespace

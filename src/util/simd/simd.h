@@ -1,29 +1,28 @@
-// SIMD query kernels with runtime CPU-feature dispatch.
+// SIMD query kernels: one scalar reference and one 128-bit vector set.
 //
 // The query hot path on top of row decode is a handful of tiny scan loops:
 // compare one small category byte per object (range filtering, kNN
 // bucketing, observer selection), accumulate distances (aggregates), and
-// partition object-table rows into near/far (reverse kNN). Each is a
-// textbook 16/32-wide compare+movemask or widened accumulate, so this layer
+// compact the object-distance table's finite entries (reverse kNN). Each is
+// a textbook 16-wide compare+movemask or widened accumulate, so this layer
 // ships them as *kernels*: a table of per-kernel function pointers with a
-// generic scalar baseline that is always built, plus SSE4.2 / AVX2 (x86) and
-// NEON (aarch64) variants compiled in their own translation units with
-// per-TU ISA flags. One binary serves any fleet machine — the best variant
-// the running CPU supports is resolved once at startup, and tests or
-// operators can pin any compiled level at runtime.
+// generic scalar table that is always built, plus an SSE2 table on x86-64
+// builds. SSE2 is part of the x86-64 baseline, so the vector table needs no
+// per-file ISA flag and no runtime CPU probe: which levels exist is a
+// compile-time fact. Non-x86 builds run the scalar table only.
+//
+// Wider variants (AVX2, NEON) and a vector hub-label merge were measured
+// end to end and dropped: their wins were within run-to-run noise
+// (EXPERIMENTS.md, E8b addendum).
 //
 // Bit-identical contract: every kernel's result — including the order of
 // extracted indices and the floating-point summation tree — is defined by
-// the scalar reference in kernels_scalar.cc, and every ISA variant must
+// the scalar reference in kernels_scalar.cc, and the vector table must
 // reproduce it exactly. The differential fuzz suite (simd_kernels_test)
-// enforces this at every compiled level, so callers may treat the dispatch
-// level as unobservable.
+// enforces this, so callers may treat the dispatch level as unobservable.
 //
-// Overrides (checked once, at first use):
+// Override (checked once, at first use):
 //   DSIG_FORCE_SCALAR=1   pin the generic scalar kernels
-//   DSIG_SIMD=LEVEL       pin a level by name (scalar|sse4.2|avx2|neon);
-//                         levels not compiled or not supported fall back to
-//                         the best available one
 // plus the SimdOverride RAII hook for tests and harnesses.
 #ifndef DSIG_UTIL_SIMD_SIMD_H_
 #define DSIG_UTIL_SIMD_SIMD_H_
@@ -36,14 +35,11 @@
 namespace dsig {
 namespace simd {
 
-// Dispatch levels, in strength order. On x86 the ladder is scalar -> SSE4.2
-// -> AVX2; on aarch64 it is scalar -> NEON. Values are stable (exported as
-// the simd.dispatch_level gauge and recorded in bench reports).
+// Dispatch levels, in strength order. Values are stable (exported as the
+// simd.dispatch_level gauge and recorded in bench reports).
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
-  kNeon = 3,
+  kSse2 = 1,
 };
 
 // One resolved set of kernels. All pointers are always non-null.
@@ -57,23 +53,14 @@ enum class SimdLevel : int {
 //  * count_in_range(v, n, lo, hi): the count alone, no index output.
 //  * max_u8 / min_u8: horizontal max/min; 0 / 0xFF on an empty input.
 //  * aggregate_f64(v, n, sum, min, max): *sum = the blocked sum of v —
-//    eight stride-8 accumulator lanes (acc[i & 7] += v[i]) combined in the
-//    fixed tree ((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))
-//    ... precisely: t[j] = acc[j] + acc[j+4] for j in 0..3, then
+//    eight stride-8 accumulator lanes (acc[i & 7] += v[i]) combined in a
+//    fixed tree: t[j] = acc[j] + acc[j+4] for j in 0..3, then
 //    *sum = (t0 + t2) + (t1 + t3). The tree is part of the kernel contract
 //    so every dispatch level produces the same bits. *min/*max get the
 //    lane-order-independent extrema (+inf / -inf on empty input).
 //  * compact_finite_f64(v, n, out): copies the values != kInfiniteWeight
 //    (the object-distance table's "far" marker) to out in order; returns
 //    the count.
-//  * label_merge(ah, ad, an, bh, bd, bn): min-plus merge of two hub labels
-//    (core/hub_labels.h). ah/bh are strictly-ascending hub ranks, ad/bd the
-//    matching finite non-negative distances; returns min over shared hubs h
-//    of ad[h] + bd[h], or +inf when the labels share no hub. Hubs are
-//    unique within a label and ranks stay below 2^31 (they index nodes), so
-//    the candidate set {ad[i] + bd[j] : ah[i] == bh[j]} is visit-order
-//    independent and any intersection strategy (linear merge, galloping,
-//    block compare) yields the same bits.
 struct KernelTable {
   const char* name;
   size_t (*extract_in_range)(const uint8_t* v, size_t n, int lo, int hi,
@@ -84,30 +71,26 @@ struct KernelTable {
   void (*aggregate_f64)(const double* v, size_t n, double* sum, double* min,
                         double* max);
   size_t (*compact_finite_f64)(const double* v, size_t n, double* out);
-  double (*label_merge)(const uint32_t* ah, const double* ad, size_t an,
-                        const uint32_t* bh, const double* bd, size_t bn);
 };
 
-// The active kernel table. First call detects CPU features, applies the
-// DSIG_FORCE_SCALAR / DSIG_SIMD environment overrides, and caches the
-// result; afterwards this is one atomic load.
+// The active kernel table. First call applies the DSIG_FORCE_SCALAR
+// environment override and caches the result; afterwards this is one atomic
+// load.
 const KernelTable& Kernels();
 
 // The level Kernels() currently dispatches to.
 SimdLevel ActiveLevel();
 
-// The strongest level this binary compiled *and* this CPU supports,
-// ignoring overrides.
+// The strongest level compiled into this binary, ignoring overrides.
 SimdLevel DetectedLevel();
 
-// Levels compiled into this binary and supported by this CPU (always
-// includes kScalar, ascending). Tests and benches iterate this to cover
-// every reachable dispatch path.
+// Levels compiled into this binary (always includes kScalar, ascending).
+// Tests and benches iterate this to cover every dispatch path.
 std::vector<SimdLevel> AvailableLevels();
 
 // Pins the active level. Returns false (level unchanged) when the variant
-// was not compiled or the CPU lacks it. Not intended for concurrent use
-// with running queries — pin before serving, or from a quiesced test.
+// was not compiled. Not intended for concurrent use with running queries —
+// pin before serving, or from a quiesced test.
 bool SetActiveLevel(SimdLevel level);
 
 // RAII pin for tests/harnesses: pins `level` for its lifetime, restores the
@@ -130,17 +113,13 @@ class SimdOverride {
 
 const char* SimdLevelName(SimdLevel level);
 
-// Human-readable summary of what the CPU offers vs what this binary built,
-// e.g. "sse4.2 avx2 (compiled: scalar sse4.2 avx2; active: avx2)". Printed
-// by `dsig_tool stats` and the server startup log.
+// Human-readable dispatch summary, e.g. "compiled: scalar sse2; active:
+// sse2". Printed by `dsig_tool stats` and the server startup log.
 std::string CpuFeatureString();
 
-// Per-variant tables; null when the variant is not compiled into this
-// binary. Defined one per TU so each can carry its own ISA flags.
+// Per-variant tables, one per TU.
 const KernelTable* ScalarKernels();  // never null
-const KernelTable* Sse42Kernels();
-const KernelTable* Avx2Kernels();
-const KernelTable* NeonKernels();
+const KernelTable* Sse2Kernels();    // null on non-x86 builds
 
 }  // namespace simd
 }  // namespace dsig

@@ -2,17 +2,21 @@
 // every pairwise label distance must equal the Dijkstra ground truth — bit
 // for bit, since the generators produce integer edge weights — on all three
 // generator families, with serialization round-trips, the sticky stale
-// latch, and structural verification catching tampering.
+// latch, and structural verification catching tampering. The label merge
+// itself is fuzzed against a brute-force min-plus reference.
 #include "core/hub_labels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "graph/dijkstra.h"
 #include "graph/graph_generator.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace dsig {
@@ -27,6 +31,113 @@ void ExpectMatchesDijkstra(const RoadNetwork& g, const HubLabels& labels,
           << "u=" << u << " v=" << v;
     }
   }
+}
+
+// O(an * bn) min-plus over every hub pair: the definition MergeLabels'
+// two-pointer scan must reproduce.
+Weight BruteForceMerge(const std::vector<uint32_t>& ah,
+                       const std::vector<Weight>& ad,
+                       const std::vector<uint32_t>& bh,
+                       const std::vector<Weight>& bd) {
+  Weight best = kInfiniteWeight;
+  for (size_t i = 0; i < ah.size(); ++i) {
+    for (size_t j = 0; j < bh.size(); ++j) {
+      if (ah[i] == bh[j]) best = std::min(best, ad[i] + bd[j]);
+    }
+  }
+  return best;
+}
+
+// Bit comparison, so +inf (no shared hub) must match exactly too.
+void ExpectMergeMatches(const std::vector<uint32_t>& ah,
+                        const std::vector<Weight>& ad,
+                        const std::vector<uint32_t>& bh,
+                        const std::vector<Weight>& bd) {
+  const Weight want = BruteForceMerge(ah, ad, bh, bd);
+  const Weight got = MergeLabels(ah.data(), ad.data(), ah.size(), bh.data(),
+                                 bd.data(), bh.size());
+  uint64_t want_bits, got_bits;
+  std::memcpy(&want_bits, &want, sizeof want_bits);
+  std::memcpy(&got_bits, &got, sizeof got_bits);
+  ASSERT_EQ(got_bits, want_bits) << "an=" << ah.size() << " bn=" << bh.size()
+                                 << " want=" << want << " got=" << got;
+}
+
+TEST(HubLabelsTest, MergeLabelsMatchesBruteForce) {
+  Random rng(4242);
+  std::vector<uint32_t> ah, bh;
+  std::vector<Weight> ad, bd;
+  // Strictly ascending hubs from `base`, gaps sized so a label of n hubs
+  // spans about `universe` ranks; a small universe makes shared hubs dense,
+  // a large one makes them rare (the no-shared-hub +inf path).
+  const auto fill = [&](std::vector<uint32_t>* hubs, std::vector<Weight>* dist,
+                        size_t n, uint64_t base, uint64_t universe) {
+    hubs->clear();
+    dist->clear();
+    uint64_t next = base;
+    while (hubs->size() < n) {
+      next += 1 + rng.NextUint64(universe / (n + 1) + 1);
+      if (next > UINT32_MAX) break;
+      hubs->push_back(static_cast<uint32_t>(next));
+      dist->push_back(static_cast<Weight>(rng.NextUint64(1000)));
+    }
+  };
+  const size_t kSizes[] = {0,  1,  2,  3,   7,   15,  16,  17,  31,  32,
+                           33, 47, 63, 64,  65,  100, 127, 128, 129, 255,
+                           256, 257, 1000};
+  // Bases at zero, straddling 2^31 (where a signed rank compare would flip
+  // order) and at the top of the u32 range.
+  const uint64_t kBases[] = {0, (uint64_t{1} << 31) - 200,
+                             UINT32_MAX - 9000};
+  for (const uint64_t base : kBases) {
+    for (const size_t an : kSizes) {
+      for (const size_t bn : kSizes) {
+        for (int round = 0; round < 3; ++round) {
+          const uint64_t universe = (round + 1) * 2 * (an + bn) + 16;
+          fill(&ah, &ad, an, base, universe);
+          fill(&bh, &bd, bn, base, universe);
+          ExpectMergeMatches(ah, ad, bh, bd);
+        }
+      }
+    }
+  }
+
+  // Empty labels on either or both sides: no shared hub.
+  const std::vector<uint32_t> none;
+  const std::vector<Weight> no_dist;
+  ah = {1, 4, 9};
+  ad = {2.0, 1.0, 0.5};
+  ExpectMergeMatches(none, no_dist, none, no_dist);
+  ExpectMergeMatches(ah, ad, none, no_dist);
+  ExpectMergeMatches(none, no_dist, ah, ad);
+  EXPECT_EQ(MergeLabels(ah.data(), ad.data(), 3, nullptr, nullptr, 0),
+            kInfiniteWeight);
+
+  // Disjoint labels, interleaved and one entirely above the other.
+  bh = {0, 2, 3, 5, 8, 10};
+  bd = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+  ExpectMergeMatches(ah, ad, bh, bd);
+  EXPECT_EQ(MergeLabels(ah.data(), ad.data(), ah.size(), bh.data(),
+                        bd.data(), bh.size()),
+            kInfiniteWeight);
+  bh = {10, 11, 12};
+  bd = {0.0, 0.0, 0.0};
+  ExpectMergeMatches(ah, ad, bh, bd);
+
+  // Identical labels across the signed boundary: the min over self-pairs.
+  ah = {0u, 5u, 0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu};
+  ad = {3.0, 1.0, 2.0, 4.0, 0.75, 5.0};
+  ExpectMergeMatches(ah, ad, ah, ad);
+  EXPECT_EQ(MergeLabels(ah.data(), ad.data(), ah.size(), ah.data(),
+                        ad.data(), ah.size()),
+            1.5);
+  // Only the ranks above 2^31 are shared.
+  bh = {1u, 0x80000000u, 0xFFFFFFFFu};
+  bd = {0.0, 0.25, 0.0};
+  ExpectMergeMatches(ah, ad, bh, bd);
+  EXPECT_EQ(MergeLabels(ah.data(), ad.data(), ah.size(), bh.data(),
+                        bd.data(), bh.size()),
+            1.0);
 }
 
 TEST(HubLabelsTest, MatchesDijkstraOnSevenNodeNetwork) {

@@ -1,6 +1,6 @@
 // Differential fuzzing of the SIMD query kernels against the scalar
-// reference (util/simd). The scalar table is normative: every compiled
-// variant (SSE4.2 / AVX2 / NEON) must reproduce its results bit for bit —
+// reference (util/simd). The scalar table is normative: the SSE2 table must
+// reproduce its results bit for bit —
 // extraction order, the fixed blocked-summation tree, NaN handling in the
 // finite-compaction — on randomized inputs including empty rows, unaligned
 // lengths straddling every vector-width boundary, and degenerate all-same
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -43,25 +44,22 @@ std::vector<const KernelTable*> CompiledVariants() {
       case SimdLevel::kScalar:
         tables.push_back(simd::ScalarKernels());
         break;
-      case SimdLevel::kSse42:
-        tables.push_back(simd::Sse42Kernels());
-        break;
-      case SimdLevel::kAvx2:
-        tables.push_back(simd::Avx2Kernels());
-        break;
-      case SimdLevel::kNeon:
-        tables.push_back(simd::NeonKernels());
+      case SimdLevel::kSse2:
+        tables.push_back(simd::Sse2Kernels());
         break;
     }
   }
   return tables;
 }
 
-// Lengths that straddle every vector-width boundary (16 for SSE/NEON, 32
-// for AVX2) plus awkward tails.
-const size_t kLengths[] = {0,  1,  2,  3,  7,  15,  16,  17,  31,
-                           32, 33, 47, 63, 64, 65,  100, 127, 128,
-                           129, 255, 256, 257, 1000};
+// Lengths that straddle the 16-lane vector width plus awkward tails, and
+// the 255-block (4080-lane) fold of the vector count_in_range's byte
+// counters.
+constexpr size_t kMaxLength = 8200;
+const size_t kLengths[] = {0,    1,    2,    3,    7,    15,  16,
+                           17,   31,   32,   33,   47,   63,  64,
+                           65,   100,  127,  128,  129,  255, 256,
+                           257,  1000, 4079, 4080, 4081, 4096, kMaxLength};
 
 TEST(SimdKernelsTest, AtLeastScalarIsAvailable) {
   const std::vector<SimdLevel> levels = simd::AvailableLevels();
@@ -71,6 +69,23 @@ TEST(SimdKernelsTest, AtLeastScalarIsAvailable) {
   for (const KernelTable* table : CompiledVariants()) {
     ASSERT_NE(table, nullptr);
   }
+}
+
+// Without this, a build that silently dropped the vector table would run
+// the differential fuzz below as scalar against scalar, and pass.
+TEST(SimdKernelsTest, VectorLevelIsCompiledAndActiveOnX86) {
+#if defined(__x86_64__)
+  const std::vector<SimdLevel> levels = simd::AvailableLevels();
+  EXPECT_NE(std::find(levels.begin(), levels.end(), SimdLevel::kSse2),
+            levels.end());
+  const char* forced = std::getenv("DSIG_FORCE_SCALAR");
+  const bool forced_scalar = forced != nullptr && forced[0] != '\0' &&
+                             std::strcmp(forced, "0") != 0;
+  EXPECT_EQ(simd::ActiveLevel(),
+            forced_scalar ? SimdLevel::kScalar : SimdLevel::kSse2);
+#else
+  GTEST_SKIP() << "no vector kernels on this target";
+#endif
 }
 
 TEST(SimdKernelsTest, ByteKernelsMatchScalarOnRandomLanes) {
@@ -118,7 +133,7 @@ TEST(SimdKernelsTest, ByteKernelsMatchScalarOnRandomLanes) {
 
 TEST(SimdKernelsTest, ByteKernelsOnDegenerateLanes) {
   const KernelTable* scalar = simd::ScalarKernels();
-  std::vector<uint32_t> want(2000), got(2000);
+  std::vector<uint32_t> want(kMaxLength), got(kMaxLength);
   for (const KernelTable* table : CompiledVariants()) {
     SCOPED_TRACE(table->name);
     // Empty input: extraction finds nothing, extrema take their identities.
@@ -143,6 +158,9 @@ TEST(SimdKernelsTest, ByteKernelsOnDegenerateLanes) {
           for (size_t i = 0; i < want_count; ++i) {
             ASSERT_EQ(got[i], want[i]);
           }
+          EXPECT_EQ(table->count_in_range(lanes.data(), n, lo, hi),
+                    want_count)
+              << "n=" << n << " v=" << int{value} << " lo=" << lo;
         }
       }
     }
@@ -223,67 +241,6 @@ TEST(SimdKernelsTest, CompactFiniteMatchesScalarIncludingNaN) {
   }
 }
 
-TEST(SimdKernelsTest, LabelMergeMatchesScalarOnRandomLabels) {
-  const KernelTable* scalar = simd::ScalarKernels();
-  const std::vector<const KernelTable*> variants = CompiledVariants();
-  Random rng(4242);
-  std::vector<uint32_t> ah, bh;
-  std::vector<double> ad, bd;
-  // Strictly-ascending hub arrays of every awkward length pairing, with a
-  // controllable intersection density (share = 0 exercises the no-common-hub
-  // +inf path, share = 1 the all-common fast advance).
-  const auto fill = [&](std::vector<uint32_t>* hubs, std::vector<double>* dist,
-                        size_t n, uint32_t universe) {
-    hubs->clear();
-    dist->clear();
-    uint32_t next = 0;
-    while (hubs->size() < n && next < universe) {
-      next += 1 + static_cast<uint32_t>(rng.NextUint64(universe / (n + 1) + 1));
-      hubs->push_back(next);
-      dist->push_back(static_cast<double>(rng.NextUint64(1000)));
-    }
-  };
-  for (const size_t an : kLengths) {
-    for (const size_t bn : {size_t{0}, size_t{1}, size_t{7}, size_t{64},
-                            size_t{129}, size_t{1000}}) {
-      for (int round = 0; round < 4; ++round) {
-        const uint32_t universe =
-            static_cast<uint32_t>(4 * (an + bn) + 16);
-        fill(&ah, &ad, an, universe);
-        fill(&bh, &bd, bn, universe);
-        const double want = scalar->label_merge(ah.data(), ad.data(),
-                                                ah.size(), bh.data(),
-                                                bd.data(), bh.size());
-        for (const KernelTable* table : variants) {
-          SCOPED_TRACE(table->name);
-          const double got = table->label_merge(ah.data(), ad.data(),
-                                                ah.size(), bh.data(),
-                                                bd.data(), bh.size());
-          // Bit comparison: +inf (disjoint) must match exactly too.
-          uint64_t want_bits, got_bits;
-          std::memcpy(&want_bits, &want, sizeof want_bits);
-          std::memcpy(&got_bits, &got, sizeof got_bits);
-          ASSERT_EQ(got_bits, want_bits)
-              << "an=" << ah.size() << " bn=" << bh.size();
-        }
-      }
-    }
-  }
-  // Identical arrays: the min over every self-pair, and ranks near the
-  // signed-compare boundary (contract caps ranks below 2^31).
-  ah = {0u, 5u, 0x7FFFFFFEu};
-  ad = {3.0, 1.0, 2.0};
-  const double want =
-      scalar->label_merge(ah.data(), ad.data(), 3, ah.data(), ad.data(), 3);
-  EXPECT_EQ(want, 2.0);
-  for (const KernelTable* table : variants) {
-    SCOPED_TRACE(table->name);
-    EXPECT_EQ(table->label_merge(ah.data(), ad.data(), 3, ah.data(),
-                                 ad.data(), 3),
-              want);
-  }
-}
-
 TEST(SimdKernelsTest, OverridePinsAndRestores) {
   const SimdLevel before = simd::ActiveLevel();
   {
@@ -294,9 +251,7 @@ TEST(SimdKernelsTest, OverridePinsAndRestores) {
   }
   EXPECT_EQ(simd::ActiveLevel(), before);
   // Detection is independent of the pin.
-  EXPECT_EQ(simd::DetectedLevel(), before == simd::DetectedLevel()
-                                       ? before
-                                       : simd::DetectedLevel());
+  EXPECT_EQ(simd::DetectedLevel(), simd::AvailableLevels().back());
 }
 
 // --- Staged rows and whole queries across dispatch levels -----------------
