@@ -160,8 +160,9 @@ int main(int argc, char** argv) {
   std::printf("(sink %llu)\n", static_cast<unsigned long long>(sink));
 
   // --- SIMD query-kernel throughput --------------------------------------
-  // The three kernel families the query layer runs per row (util/simd):
-  // category-scan (range/knn/join band extraction), voting/aggregate
+  // The kernel families the query layer runs per row (util/simd):
+  // category-scan (range/knn/join band extraction), category-count (kNN
+  // bucket sizes, one call per category), voting/aggregate
   // (distance aggregation), approx-compare/compact (reverse-kNN near/far
   // partition). One lane buffer sized like a dense row, same RZP-skewed
   // category mix as above, measured at every compiled dispatch level.
@@ -200,6 +201,13 @@ int main(int argc, char** argv) {
           const std::vector<double>&, int hi, std::vector<uint32_t>* out,
           std::vector<double>*, uint64_t* s) {
          *s += k.extract_in_range(cats.data(), cats.size(), 0, hi, out->data());
+       }},
+      // kNN sizes its buckets with one count per category.
+      {"category_count",
+       [](const KernelTable& k, const std::vector<uint8_t>& cats,
+          const std::vector<double>&, int hi, std::vector<uint32_t>*,
+          std::vector<double>*, uint64_t* s) {
+         *s += k.count_in_range(cats.data(), cats.size(), hi - 1, hi);
        }},
       {"voting_aggregate",
        [](const KernelTable& k, const std::vector<uint8_t>&,

@@ -75,6 +75,11 @@ class CategoryPartition {
     return {LowerBound(category), UpperBound(category)};
   }
 
+  // Point estimate of a distance known only by its category: the middle of
+  // the category's range, with the open-ended last category capped at
+  // lb * c (lb * 2 when the partition was not built exponentially).
+  Weight Midpoint(int category) const;
+
   // Bits of a fixed-length category id: ceil(log2 M), at least 1.
   int fixed_code_bits() const;
 

@@ -43,42 +43,14 @@ SignatureIndex::SignatureIndex(const RoadNetwork* graph,
 }
 
 SignatureRow SignatureIndex::ReadRow(NodeId n) const {
-  // One snapshot across decode *and* resolve: resolution consults the object
-  // table, which the updater also rewrites.
-  const ReadSnapshot snapshot(&gate_);
-  SignatureRow row = ReadRowUnresolved(n);
-  const obs::Span span(obs::Phase::kResolve);
-  if (!compressor_.TryResolveRow(&row)) {
-    // An entry decoded but cannot be resolved/validated — same degradation
-    // path as an undecodable row.
-    row = FallbackRow(n);
-  }
-  return row;
-}
-
-SignatureRow SignatureIndex::ReadRowUnresolved(NodeId n) const {
-  const ReadSnapshot snapshot(&gate_);
-  const obs::Span span(obs::Phase::kRowDecode);
-  DSIG_CHECK_LT(n, rows_.size());
-  ++GlobalOpCounters().row_reads;
-  const EncodedRow& encoded = rows_.Read(n, snapshot.epoch());
-  if (merged_) {
-    // Only the signature portion of the combined record is scanned.
-    store_.TouchRecordBits(n, adjacency_bits_[n],
-                           adjacency_bits_[n] + encoded.size_bits);
-  } else {
-    store_.TouchRecord(n);
-  }
-  SignatureRow row;
-  if (!codec_.TryDecodeRow(encoded, objects_.size(), &row)) {
-    return FallbackRow(n);  // fully resolved, which is also a valid
-                            // "unresolved" row (nothing left compressed)
-  }
-  return row;
+  RowStage stage;
+  ReadRowStaged(n, &stage);
+  return stage.ToRow();
 }
 
 void SignatureIndex::ReadRowStaged(NodeId n, RowStage* stage) const {
-  // One snapshot across decode *and* resolve, as in ReadRow.
+  // One snapshot across decode *and* resolve: resolution consults the object
+  // table, which the updater also rewrites.
   const ReadSnapshot snapshot(&gate_);
   {
     const obs::Span span(obs::Phase::kRowDecode);
@@ -92,13 +64,13 @@ void SignatureIndex::ReadRowStaged(NodeId n, RowStage* stage) const {
       store_.TouchRecord(n);
     }
     if (!codec_.TryDecodeRowStage(encoded, objects_.size(), stage)) {
-      stage->Assign(FallbackRow(n));
+      stage->Assign(*FallbackRow(n));
       return;
     }
   }
   const obs::Span span(obs::Phase::kResolve);
   if (!compressor_.TryResolveStage(stage)) {
-    stage->Assign(FallbackRow(n));
+    stage->Assign(*FallbackRow(n));
   }
 }
 
@@ -116,7 +88,7 @@ SignatureEntry SignatureIndex::ReadEntry(NodeId n,
     // Charge the page at the row's start — the read was attempted — then
     // degrade to the recomputed row.
     store_.TouchRecordAt(n, merged_ ? adjacency_bits_[n] : 0);
-    return FallbackRow(n)[object_index];
+    return (*FallbackRow(n))[object_index];
   }
   if (merged_) bit_offset += adjacency_bits_[n];
   store_.TouchRecordAt(n, bit_offset);
@@ -133,35 +105,33 @@ SignatureEntry SignatureIndex::ReadEntry(NodeId n,
       SignatureRow row;
       if (!codec_.TryDecodeRow(encoded, objects_.size(), &row) ||
           !compressor_.TryResolveRow(&row)) {
-        row = FallbackRow(n);
+        row = ComputeFallbackRow(n);  // the cache just missed: no re-lookup
       }
-      auto owned = std::make_shared<const SignatureRow>(std::move(row));
-      resolved_cache_->Put(n, owned);
-      resolved = std::move(owned);
+      resolved = std::make_shared<const SignatureRow>(std::move(row));
+      resolved_cache_->Put(n, resolved);
     }
     entry = (*resolved)[object_index];
   }
   return entry;
 }
 
-const SignatureRow& SignatureIndex::FallbackRow(NodeId n) const {
-  {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    const auto it = fallback_rows_.find(n);
-    if (it != fallback_rows_.end()) return it->second;
+std::shared_ptr<const SignatureRow> SignatureIndex::FallbackRow(
+    NodeId n) const {
+  std::shared_ptr<const SignatureRow> row = resolved_cache_->Get(n);
+  if (row == nullptr) {
+    // Computed outside any lock — bounded Dijkstra is milliseconds, and
+    // other readers must not stall behind it. A concurrent computation of
+    // the same row is wasted work, not a correctness problem.
+    row = std::make_shared<const SignatureRow>(ComputeFallbackRow(n));
+    resolved_cache_->Put(n, row);
   }
-  // Compute outside the lock — bounded Dijkstra is milliseconds, and other
-  // readers must not stall behind it. A concurrent computation of the same
-  // row is wasted work, not a correctness problem: emplace keeps the first.
-  SignatureRow computed = ComputeFallbackRow(n);
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  return fallback_rows_.emplace(n, std::move(computed)).first->second;
+  return row;
 }
 
 SignatureRow SignatureIndex::ComputeFallbackRow(NodeId n) const {
   const obs::Span span(obs::Phase::kDijkstraFallback);
-  // The computed row is memoized and outlives the current request, so it
-  // must never be truncated by the request's deadline.
+  // The computed row is cached and outlives the current request, so it must
+  // never be truncated by the request's deadline.
   const DeadlineScope shield(Deadline::Infinite());
   ++GlobalOpCounters().decode_fallbacks;
   // Dijkstra from n, bounded to stop once every object is settled; along the
@@ -223,17 +193,11 @@ SignatureRow SignatureIndex::ComputeFallbackRow(NodeId n) const {
 EncodedRow& SignatureIndex::mutable_encoded_row(NodeId n) {
   DSIG_CHECK_LT(n, rows_.size());
   resolved_cache_->Erase(n);
-  {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    fallback_rows_.erase(n);
-  }
   return rows_.MutableNewest(n);
 }
 
 void SignatureIndex::InvalidateCachedRows(const std::vector<NodeId>& nodes) {
   for (const NodeId n : nodes) resolved_cache_->Erase(n);
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  for (const NodeId n : nodes) fallback_rows_.erase(n);
 }
 
 void SignatureIndex::ReclaimRetiredRows() {
@@ -510,13 +474,9 @@ size_t SignatureIndex::ReplaceRow(NodeId n, const SignatureRow& row) {
     changed = row.size();
   }
 
+  // A cached row (resolved or recomputed after a decode failure) was derived
+  // from the state this replacement supersedes.
   resolved_cache_->Erase(n);
-  {
-    // The fallback memo is derived from the graph, which just changed under
-    // this row; a stale entry would shadow the replacement.
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    fallback_rows_.erase(n);
-  }
   EncodedRow new_encoded = codec_.EncodeRow(row);
   size_stats_.compressed_bits += new_encoded.size_bits;
   size_stats_.compressed_bits -= old_encoded.size_bits;

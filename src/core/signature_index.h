@@ -14,9 +14,7 @@
 #define DSIG_CORE_SIGNATURE_INDEX_H_
 
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/category_partition.h"
@@ -101,20 +99,16 @@ class SignatureIndex {
 
   // --- Row access (all charge pages when storage is attached) -------------
 
-  // Full signature of `n` with every compressed component resolved; charges
-  // every page the row spans.
-  SignatureRow ReadRow(NodeId n) const;
-
-  // Full signature with compressed components left unresolved (cheaper when
-  // the caller only cares about categories of resolved entries).
-  SignatureRow ReadRowUnresolved(NodeId n) const;
-
-  // SoA twin of ReadRow: the fused decode writes straight into `stage`'s
-  // category/link/flag lanes (core/row_stage.h) and resolution runs in
-  // place, so query loops can hand the lanes to the SIMD kernels without a
-  // transpose. Charges the same pages and op counters as ReadRow and
-  // degrades to the recomputed fallback row identically.
+  // Full signature of `n` with every compressed component resolved: the
+  // fused decode writes straight into `stage`'s category/link/flag lanes
+  // (core/row_stage.h) and resolution runs in place, so query loops can hand
+  // the lanes to the SIMD kernels without a transpose. Charges every page
+  // the row spans; degrades to the recomputed fallback row (see FallbackRow).
   void ReadRowStaged(NodeId n, RowStage* stage) const;
+
+  // AoS form of ReadRowStaged (tests, tools, benches): same pages, same op
+  // counters.
+  SignatureRow ReadRow(NodeId n) const;
 
   // Single component, resolved; charges only the page holding it.
   SignatureEntry ReadEntry(NodeId n, uint32_t object_index) const;
@@ -198,13 +192,13 @@ class SignatureIndex {
 
   // Direct mutable access to the stored encoded row — the corruption-test
   // seam (fault-injection harnesses flip bits in rows_[n].bytes). Drops the
-  // node's cached resolved/fallback state so the next read re-decodes.
+  // node's cached row so the next read re-decodes.
   EncodedRow& mutable_encoded_row(NodeId n);
 
-  // Drops cached resolved rows and fallback memos for every listed node in
-  // one sweep. The updater calls this with the complete set of affected
-  // nodes *before* publishing any rewritten row, so a hot cache can never
-  // serve a resolution computed against the pre-update object table.
+  // Drops the cached rows of every listed node in one sweep. The updater
+  // calls this with the complete set of affected nodes *before* publishing
+  // any rewritten row, so a hot cache can never serve a resolution computed
+  // against the pre-update object table.
   void InvalidateCachedRows(const std::vector<NodeId>& nodes);
 
   // --- Maintenance hooks (used by SignatureUpdater) ------------------------
@@ -233,10 +227,12 @@ class SignatureIndex {
  private:
   // Decode-failure degradation: a row whose bits no longer decode (in-memory
   // corruption that slipped past load-time checks) is recomputed from the
-  // graph by a Dijkstra bounded to the farthest object, memoized, and
-  // counted in OpCounters::decode_fallbacks. Queries stay oracle-correct —
-  // any shortest-path first hop is a valid backtracking link.
-  const SignatureRow& FallbackRow(NodeId n) const;
+  // graph by a Dijkstra bounded to the farthest object, counted in
+  // OpCounters::decode_fallbacks, and kept in the RowCache — so recomputed
+  // rows share its byte budget, its eviction and its invalidation. Queries
+  // stay oracle-correct — any shortest-path first hop is a valid
+  // backtracking link.
+  std::shared_ptr<const SignatureRow> FallbackRow(NodeId n) const;
   SignatureRow ComputeFallbackRow(NodeId n) const;
 
   const RoadNetwork* graph_;
@@ -259,16 +255,11 @@ class SignatureIndex {
   PagedStore store_;
   const NetworkStore* network_store_ = nullptr;
   // CPU cache of resolved rows, used when a single-component read hits a
-  // compressed entry (resolution needs the whole row). Sharded LRU with a
+  // compressed entry (resolution needs the whole row) and for rows
+  // recomputed after a decode failure (see FallbackRow). Sharded LRU with a
   // byte budget and incremental eviction; thread-safe, so RunBatch workers
   // share it. Never null.
   mutable std::unique_ptr<RowCache> resolved_cache_;
-  // Rows recomputed after a decode failure (see FallbackRow). Bounded by the
-  // number of corrupt rows; guarded by fallback_mu_ for concurrent readers
-  // (values are node-stable: inserts never move them, only the exclusive
-  // maintenance hooks erase).
-  mutable std::mutex fallback_mu_;
-  mutable std::unordered_map<NodeId, SignatureRow> fallback_rows_;
   // Merged schema: row bits start after the adjacency record inside each
   // node's combined record.
   bool merged_ = false;

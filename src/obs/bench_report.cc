@@ -13,7 +13,11 @@ BenchReport::BenchReport(std::string bench_name)
     : bench_(std::move(bench_name)) {}
 
 void BenchReport::SetParam(const std::string& key, const std::string& value) {
-  params_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  // Built with append: GCC 12 flags `"..." + std::string&&` with a false
+  // -Wrestrict positive at -O3.
+  std::string quoted = "\"";
+  quoted.append(JsonEscape(value)).append("\"");
+  params_.emplace_back(key, std::move(quoted));
 }
 
 void BenchReport::SetParam(const std::string& key, double value) {

@@ -6,7 +6,9 @@
 // |d(n,a) − d(n,b)| <= d(a,b) <= d(n,a) + d(n,b), evaluated on category
 // ranges, prune or confirm most pairs; surviving candidates refine their
 // node distances and finally compute the exact pair distance by guided
-// backtracking from a's node through b's index.
+// backtracking from a's node through b's index. QueryMode::kCategoryOnly
+// decides each pair the category bounds leave open by the sum of the two
+// category midpoints instead (exact_evaluations stays 0).
 #ifndef DSIG_QUERY_JOIN_QUERY_H_
 #define DSIG_QUERY_JOIN_QUERY_H_
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/signature_index.h"
+#include "query/query_mode.h"
 
 namespace dsig {
 
@@ -35,7 +38,8 @@ struct JoinResult {
 // Both indexes must be built over the same RoadNetwork instance.
 JoinResult SignatureEpsilonJoin(const SignatureIndex& left,
                                 const SignatureIndex& right, NodeId n,
-                                Weight epsilon);
+                                Weight epsilon,
+                                QueryMode mode = QueryMode::kExact);
 
 }  // namespace dsig
 

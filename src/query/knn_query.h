@@ -8,6 +8,8 @@
 //    every contributing bucket is sorted.
 //  * type 1 — objects with their exact distances: each result's distance is
 //    retrieved by guided backtracking.
+// QueryMode::kCategoryOnly skips every sort and retrieval, for every type:
+// buckets in category order, the boundary one cut to its lowest object ids.
 #ifndef DSIG_QUERY_KNN_QUERY_H_
 #define DSIG_QUERY_KNN_QUERY_H_
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/signature_index.h"
+#include "query/query_mode.h"
 
 namespace dsig {
 
@@ -28,7 +31,8 @@ struct KnnResult {
   // The k nearest object indexes. Ordered by distance for types 1 and 2;
   // unspecified order for type 3.
   std::vector<uint32_t> objects;
-  // Exact distances aligned with `objects`; filled for type 1 only.
+  // Exact distances aligned with `objects`; filled for type 1 only. In
+  // category-only mode, category midpoints aligned with `objects`.
   std::vector<Weight> distances;
   // True when the ambient request deadline (util/deadline.h) expired before
   // the query finished. The result is a well-formed partial answer: objects
@@ -38,7 +42,8 @@ struct KnnResult {
 };
 
 KnnResult SignatureKnnQuery(const SignatureIndex& index, NodeId n, size_t k,
-                            KnnResultType type);
+                            KnnResultType type,
+                            QueryMode mode = QueryMode::kExact);
 
 }  // namespace dsig
 

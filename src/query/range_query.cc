@@ -11,7 +11,7 @@
 namespace dsig {
 
 RangeQueryResult SignatureRangeQuery(const SignatureIndex& index, NodeId n,
-                                     Weight epsilon) {
+                                     Weight epsilon, QueryMode mode) {
   DSIG_QUERY_TRACE("range");
   const ReadSnapshot snapshot(index.epoch_gate());
   DSIG_CHECK_GE(epsilon, 0);
@@ -66,6 +66,10 @@ RangeQueryResult SignatureRangeQuery(const SignatureIndex& index, NodeId n,
       break;
     }
     ++result.refined;
+    if (mode == QueryMode::kCategoryOnly) {
+      if (partition.Midpoint(cats[o]) <= epsilon) result.objects.push_back(o);
+      continue;
+    }
     const SignatureEntry initial = stage.entry(o);
     RetrievalCursor cursor(&index, n, o, &initial);
     while (true) {

@@ -4,6 +4,8 @@
 // Signature categories confirm or prune most objects outright; only objects
 // whose category range straddles epsilon pay for guided backtracking, and
 // that backtracking stops the moment the range clears the threshold.
+// QueryMode::kCategoryOnly decides each straddling object by its category
+// midpoint (midpoint <= epsilon joins) instead of backtracking.
 #ifndef DSIG_QUERY_RANGE_QUERY_H_
 #define DSIG_QUERY_RANGE_QUERY_H_
 
@@ -11,14 +13,15 @@
 #include <vector>
 
 #include "core/signature_index.h"
+#include "query/query_mode.h"
 
 namespace dsig {
 
 struct RangeQueryResult {
   // Object indexes with d(n, o) <= epsilon, in object order.
   std::vector<uint32_t> objects;
-  // Objects that needed refinement (the category range straddled epsilon) —
-  // a quality metric for the partition.
+  // Objects whose category range straddled epsilon (refined, or decided by
+  // midpoint in category-only mode) — a quality metric for the partition.
   size_t refined = 0;
   // True when the ambient request deadline (util/deadline.h) expired before
   // every object was classified; `objects` then holds the objects confirmed
@@ -28,7 +31,8 @@ struct RangeQueryResult {
 };
 
 RangeQueryResult SignatureRangeQuery(const SignatureIndex& index, NodeId n,
-                                     Weight epsilon);
+                                     Weight epsilon,
+                                     QueryMode mode = QueryMode::kExact);
 
 }  // namespace dsig
 

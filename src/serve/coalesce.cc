@@ -63,7 +63,6 @@ SingleFlight::JoinResult SingleFlight::Join(const std::string& key,
   // Hold the flight by value: the leader's Publish erases the map entry
   // before every follower has woken.
   std::shared_ptr<Flight> flight = it->second;
-  Metrics().followers->Add(1);
   const auto ready = [&] { return flight->done; };
   bool woke = true;
   if (deadline.infinite()) {
@@ -77,6 +76,9 @@ SingleFlight::JoinResult SingleFlight::Join(const std::string& key,
   }
   JoinResult result;
   if (woke && flight->have_response) {
+    // "Followers" are requests answered by a leader; one whose leader
+    // abandoned executes on its own and is not counted.
+    Metrics().followers->Add(1);
     result.ready = true;
     result.response = flight->response;
   } else if (!woke) {

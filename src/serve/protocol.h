@@ -17,7 +17,7 @@
 //   kError             the request was malformed or inapplicable
 //
 // plus a degradation tag: kNone for the exact path, kOverload when the
-// planner downgraded to the category-only evaluator (serve/degrade.h),
+// planner ran the query in category-only mode (query/query_mode.h),
 // kDecodeFault when the index recomputed rows via bounded Dijkstra during
 // this request (OpCounters::decode_fallbacks delta on the serving thread).
 #ifndef DSIG_SERVE_PROTOCOL_H_
@@ -108,8 +108,8 @@ struct Response {
   double retry_after_ms = 0;
 
   // kKnn / kRange / kJoin payloads. kKnn fills objects (+ distances when the
-  // request asked for type 1); kRange fills objects; kJoin fills pair_left /
-  // pair_right aligned.
+  // request asked for type 1, or category midpoints under kOverload); kRange
+  // fills objects; kJoin fills pair_left / pair_right aligned.
   std::vector<uint32_t> objects;
   std::vector<double> distances;
   std::vector<uint32_t> pair_left;

@@ -17,9 +17,9 @@
 #include "obs/op_counters.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "query/join_query.h"
 #include "query/knn_query.h"
 #include "query/range_query.h"
-#include "serve/degrade.h"
 #include "serve/net.h"
 #include "util/deadline.h"
 #include "util/hexid.h"
@@ -346,7 +346,7 @@ Response DsigServer::Handle(const Request& request) {
     response.num_objects = deployment_.index->num_objects();
     const CategoryPartition& partition = deployment_.index->partition();
     response.suggested_epsilon =
-        CategoryMidpoint(partition, partition.num_categories() / 2);
+        partition.Midpoint(partition.num_categories() / 2);
     FillObservability(&response);
     Metrics().ok->Add(1);
     return response;
@@ -466,10 +466,12 @@ Response DsigServer::Handle(const Request& request) {
         break;
       }
     }
-    if (leader != nullptr && response.status == ResponseStatus::kOk) {
-      // Publish only complete answers; sheds, errors, and partial results
-      // abandon the flight (via the guard) so followers fend for
-      // themselves instead of inheriting this request's failure.
+    if (leader != nullptr && response.status == ResponseStatus::kOk &&
+        response.degradation != Degradation::kOverload) {
+      // Publish only complete, exact answers. Sheds, errors, partials and
+      // overload answers (set by the leader's tenant's queue, while the key
+      // ignores the tenant) abandon the flight via the guard, so followers
+      // fend for themselves instead of inheriting this request's outcome.
       leader->Publish(response);
     }
   }
@@ -678,69 +680,51 @@ Response DsigServer::ExecuteQuery(const Request& request,
   // delta is exactly this request's fallbacks.
   const uint64_t fallbacks_before = GlobalOpCounters().decode_fallbacks;
 
+  const QueryMode mode =
+      degraded ? QueryMode::kCategoryOnly : QueryMode::kExact;
+  bool deadline_exceeded = false;
   switch (request.type) {
     case RequestType::kKnn: {
       const size_t k =
           std::min<size_t>(request.k, deployment_.index->num_objects());
-      if (degraded) {
-        DegradedKnnResult result = DegradedKnnQuery(index, request.node, k);
-        response.objects = std::move(result.objects);
-        response.distances = std::move(result.approx_distances);
-        response.degradation = Degradation::kOverload;
-      } else {
-        const KnnResultType type =
-            request.knn_type == 3 ? KnnResultType::kType3
-            : request.knn_type == 2 ? KnnResultType::kType2
-                                    : KnnResultType::kType1;
-        KnnResult result = SignatureKnnQuery(index, request.node, k, type);
-        response.objects = std::move(result.objects);
-        response.distances.assign(result.distances.begin(),
-                                  result.distances.end());
-        if (result.deadline_exceeded) {
-          response.status = ResponseStatus::kDeadlineExceeded;
-        }
-      }
+      const KnnResultType type =
+          request.knn_type == 3 ? KnnResultType::kType3
+          : request.knn_type == 2 ? KnnResultType::kType2
+                                  : KnnResultType::kType1;
+      KnnResult result = SignatureKnnQuery(index, request.node, k, type, mode);
+      response.objects = std::move(result.objects);
+      response.distances = std::move(result.distances);
+      deadline_exceeded = result.deadline_exceeded;
       break;
     }
     case RequestType::kRange: {
       RangeQueryResult result =
-          degraded ? DegradedRangeQuery(index, request.node, request.epsilon)
-                   : SignatureRangeQuery(index, request.node, request.epsilon);
+          SignatureRangeQuery(index, request.node, request.epsilon, mode);
       response.objects = std::move(result.objects);
-      if (degraded) {
-        response.degradation = Degradation::kOverload;
-      } else if (result.deadline_exceeded) {
-        response.status = ResponseStatus::kDeadlineExceeded;
-      }
+      deadline_exceeded = result.deadline_exceeded;
       break;
     }
     case RequestType::kJoin: {
       // Self-join: the deployment serves one dataset, joined with itself.
-      JoinResult result =
-          degraded
-              ? DegradedEpsilonJoin(index, index, request.node,
-                                    request.epsilon)
-              : SignatureEpsilonJoin(index, index, request.node,
-                                     request.epsilon);
+      JoinResult result = SignatureEpsilonJoin(index, index, request.node,
+                                               request.epsilon, mode);
       response.pair_left.reserve(result.pairs.size());
       response.pair_right.reserve(result.pairs.size());
       for (const JoinPair& pair : result.pairs) {
         response.pair_left.push_back(pair.left);
         response.pair_right.push_back(pair.right);
       }
-      if (degraded) {
-        response.degradation = Degradation::kOverload;
-      } else if (result.deadline_exceeded) {
-        response.status = ResponseStatus::kDeadlineExceeded;
-      }
+      deadline_exceeded = result.deadline_exceeded;
       break;
     }
     default:
       return ErrorResponse(request.id, "unsupported query type");
   }
 
-  if (response.degradation == Degradation::kNone &&
-      GlobalOpCounters().decode_fallbacks > fallbacks_before) {
+  if (deadline_exceeded) response.status = ResponseStatus::kDeadlineExceeded;
+  if (degraded) {
+    response.degradation = Degradation::kOverload;
+  } else if (GlobalOpCounters().decode_fallbacks > fallbacks_before) {
     response.degradation = Degradation::kDecodeFault;
   }
   return response;

@@ -11,15 +11,17 @@
 //                connection — never abort the process.
 //   * coalesce   identical concurrent hot queries single-flight
 //                (serve/coalesce.h): one leader executes, followers share
-//                its answer without consuming admission slots.
+//                its exact answer without consuming admission slots (an
+//                overload answer is never shared; followers then execute).
 //   * admit      per-tenant bounded queues drained deficit-weighted
 //                round-robin with token-bucket rate limits
 //                (serve/admission.h). Shed replies RETRY_AFTER; a deadline
 //                that passes while queued replies DEADLINE_EXCEEDED without
 //                ever holding an execution slot.
-//   * plan       under queue pressure (degrade_queue_fraction) queries are
-//                downgraded to the category-only evaluators (serve/degrade.h)
-//                and tagged Degradation::kOverload. Updates never degrade.
+//   * plan       under queue pressure (degrade_queue_fraction) queries run
+//                the same processors in QueryMode::kCategoryOnly
+//                (query/query_mode.h) and are tagged
+//                Degradation::kOverload. Updates never degrade.
 //   * execute    queries run with the request's Deadline installed
 //                (util/deadline.h); the query layer returns typed partial
 //                results on expiry. Updates serialize through the single

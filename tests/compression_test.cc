@@ -30,7 +30,8 @@ TEST(CompressionTest, CategoryZeroEntriesNeverCompress) {
   const auto index = BuildSignatureIndex(
       g, {0, 1, 4}, {.t = 2, .c = 2, .compress = true});
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow unresolved = index->ReadRowUnresolved(n);
+    const SignatureRow unresolved =
+        index->codec().DecodeRow(index->encoded_row(n));
     const SignatureRow resolved = index->ReadRow(n);
     for (size_t i = 0; i < resolved.size(); ++i) {
       if (resolved[i].category == 0) {
@@ -88,7 +89,8 @@ TEST(CompressionTest, SingleResolveMatchesResolveRow) {
   const auto index =
       BuildSignatureIndex(g, objects, {.t = 5, .c = 2, .compress = true});
   for (const NodeId n : testing_util::SampleNodes(g, 20, 3)) {
-    const SignatureRow unresolved = index->ReadRowUnresolved(n);
+    const SignatureRow unresolved =
+        index->codec().DecodeRow(index->encoded_row(n));
     SignatureRow full = unresolved;
     index->compressor().ResolveRow(&full);
     for (uint32_t i = 0; i < unresolved.size(); ++i) {

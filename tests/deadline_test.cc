@@ -99,18 +99,24 @@ TEST(QueryDeadlineTest, ExpiredDeadlineNeverTouchesTheBufferPool) {
   const uint64_t before = buffer.stats().logical_accesses;
   const DeadlineScope scope(Deadline::AfterMillis(-1));
 
-  const KnnResult knn =
-      SignatureKnnQuery(*f.index, 3, 5, KnnResultType::kType1);
-  EXPECT_TRUE(knn.deadline_exceeded);
-  EXPECT_TRUE(knn.objects.empty());
+  // Category-only (overload) mode answers expiry with the same typed
+  // partial as the exact mode.
+  for (const QueryMode mode : {QueryMode::kExact, QueryMode::kCategoryOnly}) {
+    const KnnResult knn =
+        SignatureKnnQuery(*f.index, 3, 5, KnnResultType::kType1, mode);
+    EXPECT_TRUE(knn.deadline_exceeded);
+    EXPECT_TRUE(knn.objects.empty());
 
-  const RangeQueryResult range = SignatureRangeQuery(*f.index, 3, 100);
-  EXPECT_TRUE(range.deadline_exceeded);
-  EXPECT_TRUE(range.objects.empty());
+    const RangeQueryResult range =
+        SignatureRangeQuery(*f.index, 3, 100, mode);
+    EXPECT_TRUE(range.deadline_exceeded);
+    EXPECT_TRUE(range.objects.empty());
 
-  const JoinResult join = SignatureEpsilonJoin(*f.index, *f.index, 3, 100);
-  EXPECT_TRUE(join.deadline_exceeded);
-  EXPECT_TRUE(join.pairs.empty());
+    const JoinResult join =
+        SignatureEpsilonJoin(*f.index, *f.index, 3, 100, mode);
+    EXPECT_TRUE(join.deadline_exceeded);
+    EXPECT_TRUE(join.pairs.empty());
+  }
 
   // The whole point: a hopeless request charges zero pages.
   EXPECT_EQ(buffer.stats().logical_accesses, before);

@@ -2,17 +2,24 @@
 // the disabled (budget 0) bypass — plus the regression the cache exists for:
 // a working set one row over the old wholesale-wipe threshold must degrade by
 // exactly one eviction, not lose everything. The index-level tests at the
-// bottom check that updates invalidate cached resolved rows.
+// bottom check that updates invalidate cached resolved rows, and that rows
+// recomputed after a decode failure live in (and are bounded by) the cache.
 #include "core/row_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "core/distance_ops.h"
 #include "core/signature_builder.h"
 #include "core/update.h"
 #include "graph/graph_generator.h"
+#include "obs/op_counters.h"
+#include "query/knn_query.h"
+#include "query/range_query.h"
 #include "tests/test_util.h"
 #include "workload/dataset_generator.h"
 
@@ -189,6 +196,118 @@ TEST(RowCacheIndexTest, ConfigureRowCacheZeroBudgetStillAnswersCorrectly) {
     }
   }
   EXPECT_EQ(index->row_cache().entries(), 0u);
+}
+
+// Drops node n's stored bytes while keeping its declared size: neither the
+// row decoder nor the single-entry decoder can read it, so every read of
+// the row, and of any entry in it, takes the fallback path.
+void TruncateRow(SignatureIndex* index, NodeId n) {
+  index->mutable_encoded_row(n).bytes.clear();
+}
+
+TEST(RowCacheIndexTest, ZeroBudgetFallbackRowsStayExact) {
+  RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 31});
+  const std::vector<NodeId> objects = UniformDataset(g, 0.05, 31);
+  auto index = BuildSignatureIndex(g, objects, {.t = 5, .c = 2});
+  const auto truth = testing_util::BruteForceDistances(g, objects);
+  index->ConfigureRowCache({.byte_budget = 0});
+  const Weight epsilon = index->partition().Midpoint(2);
+
+  for (const NodeId n : testing_util::SampleNodes(g, 6, 31)) {
+    const SignatureRow pristine = index->ReadRow(n);
+    TruncateRow(index.get(), n);
+    const OpCounters before = GlobalOpCounters();
+
+    std::vector<Weight> nearest;
+    std::vector<uint32_t> in_range;
+    for (uint32_t o = 0; o < objects.size(); ++o) {
+      nearest.push_back(truth[o][n]);
+      if (truth[o][n] <= epsilon) in_range.push_back(o);
+      EXPECT_EQ(index->ReadEntry(n, o).category, pristine[o].category)
+          << "node " << n << " object " << o;
+      EXPECT_NEAR(ExactDistance(*index, n, o), truth[o][n], 1e-9);
+    }
+    std::sort(nearest.begin(), nearest.end());
+    nearest.resize(5);
+    const KnnResult knn =
+        SignatureKnnQuery(*index, n, 5, KnnResultType::kType1);
+    ASSERT_EQ(knn.distances.size(), nearest.size());
+    for (size_t i = 0; i < nearest.size(); ++i) {
+      EXPECT_NEAR(knn.distances[i], nearest[i], 1e-9) << "node " << n;
+    }
+    EXPECT_EQ(SignatureRangeQuery(*index, n, epsilon).objects, in_range)
+        << "node " << n;
+
+    // Nothing is cached, so every read of the row recomputed it.
+    const OpCounters delta = GlobalOpCounters() - before;
+    EXPECT_GE(delta.decode_fallbacks, objects.size() + 2) << "node " << n;
+  }
+  EXPECT_EQ(index->row_cache().entries(), 0u);
+  EXPECT_EQ(index->row_cache().bytes(), 0u);
+}
+
+TEST(RowCacheIndexTest, FallbackRowsAreBoundedByTheBudget) {
+  RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 32});
+  const std::vector<NodeId> objects = UniformDataset(g, 0.05, 32);
+  auto index = BuildSignatureIndex(g, objects, {.t = 5, .c = 2});
+  constexpr size_t kBudget = 2048;
+  constexpr NodeId kCorrupt = 40;  // rows of ~140 bytes: far over budget
+  index->ConfigureRowCache({.byte_budget = kBudget, .num_shards = 1});
+  for (NodeId n = 0; n < kCorrupt; ++n) TruncateRow(index.get(), n);
+
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter* const misses = registry.GetCounter("rowcache.misses");
+  for (int pass = 0; pass < 2; ++pass) {
+    const OpCounters before = GlobalOpCounters();
+    const uint64_t misses0 = misses->Value();
+    for (NodeId n = 0; n < kCorrupt; ++n) index->ReadRow(n);
+    const OpCounters delta = GlobalOpCounters() - before;
+    // A sequential sweep over more rows than fit recomputes every one of
+    // them, pass after pass, and each recompute is a counted fallback.
+    EXPECT_EQ(delta.decode_fallbacks, kCorrupt) << "pass " << pass;
+    EXPECT_EQ(misses->Value() - misses0, kCorrupt) << "pass " << pass;
+    EXPECT_LE(index->row_cache().bytes(), kBudget);
+    EXPECT_GT(index->row_cache().entries(), 0u);
+    EXPECT_LT(index->row_cache().entries(), kCorrupt);
+    EXPECT_EQ(registry.GetGauge("rowcache.bytes")->Value(),
+              static_cast<double>(index->row_cache().bytes()));
+  }
+  // A cached fallback row answers without recomputing.
+  const OpCounters before = GlobalOpCounters();
+  index->ReadRow(kCorrupt - 1);
+  EXPECT_EQ((GlobalOpCounters() - before).decode_fallbacks, 0u);
+}
+
+TEST(RowCacheIndexTest, ConcurrentFallbackReadsAgree) {
+  // Readers race to recompute, cache and evict the same fallback rows; each
+  // read must still see the row the graph implies.
+  RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 33});
+  const std::vector<NodeId> objects = UniformDataset(g, 0.05, 33);
+  auto index = BuildSignatureIndex(g, objects, {.t = 5, .c = 2});
+  constexpr NodeId kCorrupt = 24;
+  std::vector<SignatureRow> pristine;
+  for (NodeId n = 0; n < kCorrupt; ++n) pristine.push_back(index->ReadRow(n));
+  index->ConfigureRowCache({.byte_budget = 2048, .num_shards = 2});
+  for (NodeId n = 0; n < kCorrupt; ++n) TruncateRow(index.get(), n);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (NodeId i = 0; i < kCorrupt; ++i) {
+          const NodeId n = (i + static_cast<NodeId>(t) * 7) % kCorrupt;
+          const SignatureRow row = index->ReadRow(n);
+          for (size_t o = 0; o < row.size(); ++o) {
+            if (row[o].category != pristine[n][o].category) ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(index->row_cache().bytes(), 2048u);
 }
 
 }  // namespace

@@ -393,6 +393,63 @@ TEST_F(TenantServerFixture, IdenticalConcurrentQueriesExecuteOnce) {
       << "followers did not get their own ids re-stamped";
 }
 
+TEST_F(TenantServerFixture, OverloadAnswersAreNeverShared) {
+  // Every query degrades, and the leader holds its flight open while the
+  // followers pile on. An overload answer reflects the leader's tenant's
+  // queue pressure (and the coalesce key ignores the tenant), so it must not
+  // be published: every follower executes on its own.
+  ServerOptions options;
+  options.degrade_queue_fraction = -1;
+  options.coalesce_hold_for_test_ms = 500;
+  StartServer(options);
+
+  auto& registry = obs::MetricsRegistry::Global();
+  const uint64_t leaders0 =
+      registry.GetCounter("serve.coalesce.leaders")->Value();
+  const uint64_t followers0 =
+      registry.GetCounter("serve.coalesce.followers")->Value();
+  const uint64_t admitted0 =
+      registry.GetCounter("serve.query.admitted")->Value();
+
+  constexpr int kClients = 4;
+  std::mutex mu;
+  std::vector<Response> answers;
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 0 ? 0 : 100));
+      ServeClient client;
+      if (!client.Connect(server_->port(), 10000).ok()) return;
+      Request knn;
+      knn.type = RequestType::kKnn;
+      knn.id = 2000 + static_cast<uint64_t>(i);
+      knn.node = 17;
+      knn.k = 5;
+      knn.knn_type = 1;
+      auto response = client.Call(knn);
+      if (response.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        answers.push_back(*response);
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+
+  ASSERT_EQ(answers.size(), static_cast<size_t>(kClients));
+  for (const Response& r : answers) {
+    EXPECT_EQ(r.status, ResponseStatus::kOk);
+    EXPECT_EQ(r.degradation, Degradation::kOverload);
+    EXPECT_EQ(r.objects.size(), 5u);
+  }
+  EXPECT_GE(registry.GetCounter("serve.coalesce.leaders")->Value() - leaders0,
+            1u);
+  EXPECT_EQ(
+      registry.GetCounter("serve.coalesce.followers")->Value() - followers0,
+      0u);
+  EXPECT_EQ(registry.GetCounter("serve.query.admitted")->Value() - admitted0,
+            static_cast<uint64_t>(kClients));
+}
+
 TEST_F(TenantServerFixture, LegacyFramesLandOnTheDefaultTenant) {
   ServerOptions options;
   options.admission.tenants = {{"default", 1.0, 0, 0}, {"other", 1.0, 0, 0}};

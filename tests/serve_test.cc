@@ -524,6 +524,14 @@ TEST_F(ServerFixture, OverloadDegradesToCategoryAnswers) {
   range.node = 17;
   range.epsilon = 50;
   EXPECT_EQ(MustCall(range).degradation, Degradation::kOverload);
+
+  Request join = range;
+  join.type = RequestType::kJoin;
+  join.id = 8;
+  const Response joined = MustCall(join);
+  EXPECT_EQ(joined.status, ResponseStatus::kOk);
+  EXPECT_EQ(joined.degradation, Degradation::kOverload);
+  EXPECT_EQ(joined.pair_left.size(), joined.pair_right.size());
 }
 
 TEST_F(ServerFixture, DecodeFaultTagsTheResponse) {
